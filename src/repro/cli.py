@@ -58,7 +58,6 @@ from repro.service.server import serve as serve_service
 from repro.service.wire import spec_to_wire
 from repro.sim.batched import ENGINES
 from repro.sim.multicore import simulate_mix
-from repro.sim.trace import load_trace, save_trace
 from repro.stats import format_table, normalized_weighted_speedup
 from repro.workloads import homogeneous_mix, spec_trace
 from repro.workloads.cloudsuite import CLOUDSUITE_BENCHMARKS, cloudsuite_trace
@@ -281,17 +280,21 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_dump_trace(args) -> int:
-    """Generate a workload and write it as a trace file."""
+    """Generate a workload and write it as a RIB1 trace file."""
+    from repro.ingest import write_binary
+
     trace = build_trace(args.workload, args.scale)
-    save_trace(trace, args.out)
+    write_binary(trace, args.out)
     print(f"wrote {len(trace)} records ({trace.load_records} loads) "
           f"to {args.out}")
     return 0
 
 
 def cmd_run_trace(args) -> int:
-    """Simulate a previously dumped trace file."""
-    trace = load_trace(args.trace_file)
+    """Simulate a RIB1 or k6 trace file (strict ingestion)."""
+    from repro.ingest import ingest_file
+
+    trace, _ = ingest_file(args.trace_file, name=args.trace_file)
     baseline = run_levels(trace, "none")
     result = run_levels(trace, args.prefetcher)
     rows = [

@@ -30,6 +30,7 @@ from repro.ingest.convert import (
     K6,
     convert_trace,
     detect_format,
+    ingest_file,
     validate_format,
 )
 from repro.ingest.k6 import (
@@ -84,6 +85,7 @@ __all__ = [
     "detect_format",
     "file_signature",
     "ingest_binary",
+    "ingest_file",
     "ingest_k6",
     "iter_binary_wire",
     "iter_k6_wire",

@@ -37,18 +37,21 @@ from repro.ingest.binary import (
     MAGIC,
     RECORD_SIZE,
     BinaryTraceWriter,
+    ingest_binary,
     iter_binary_wire,
 )
 from repro.ingest.k6 import (
     DEFAULT_CHUNK_RECORDS,
     K6_CYCLE_STEP,
     _COMMAND_FOR,
+    ingest_k6,
     iter_k6_wire,
     make_report,
 )
 from repro.ingest.policies import DEFAULT_MAX_ERRORS, IngestReport, STRICT
 from repro.ingest.stream import GZIP_MAGIC
 from repro.resilience.journal import CheckpointJournal
+from repro.sim.trace import Trace
 
 K6 = "k6"
 BINARY = "binary"
@@ -56,6 +59,7 @@ BINARY = "binary"
 FORMATS = (K6, BINARY)
 
 _WIRE_ITERS = {K6: iter_k6_wire, BINARY: iter_binary_wire}
+_INGESTERS = {K6: ingest_k6, BINARY: ingest_binary}
 
 
 def detect_format(path: str) -> str:
@@ -73,6 +77,19 @@ def detect_format(path: str) -> str:
     if head == MAGIC:
         return BINARY
     return K6
+
+
+def ingest_file(path: str, *, fmt: str | None = None,
+                name: str | None = None,
+                max_records: int | None = None,
+                ) -> tuple[Trace, IngestReport]:
+    """Ingest a k6 or RIB1 file under the strict policy.
+
+    ``fmt`` defaults to :func:`detect_format`.  A damaged file raises
+    its typed input fault (format 14, truncated 15, checksum 16).
+    """
+    ingest = _INGESTERS[fmt or detect_format(path)]
+    return ingest(path, name=name, policy=STRICT, max_records=max_records)
 
 
 def validate_format(fmt: str) -> str:

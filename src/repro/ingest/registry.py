@@ -19,7 +19,7 @@ the tampered file fails verification before a spec is even built.
 Registration is strict by construction — the whole trace is streamed
 through the strict-policy reader while counting records, so a file
 with even one malformed record cannot be registered.  Registry writes
-are atomic (temp file + ``os.replace``).
+are atomic (:func:`~repro.runner.cache.publish_atomically`).
 """
 
 from __future__ import annotations
@@ -29,9 +29,15 @@ import json
 import os
 
 from repro.errors import ConfigurationError, TraceChecksumError
-from repro.ingest.convert import detect_format, validate_format
+from repro.ingest.convert import (
+    _WIRE_ITERS,
+    detect_format,
+    ingest_file,
+    validate_format,
+)
 from repro.ingest.k6 import make_report
 from repro.ingest.policies import IngestReport, STRICT
+from repro.runner.cache import publish_atomically
 from repro.sim.trace import Trace
 
 REGISTRY_VERSION = 1
@@ -56,12 +62,9 @@ def file_signature(path: str) -> str:
 
 def _count_records(path: str, fmt: str) -> int:
     """Strict-policy record count (raises on the first malformed one)."""
-    from repro.ingest.binary import iter_binary_wire
-    from repro.ingest.k6 import iter_k6_wire
     report = make_report(path, fmt, STRICT)
-    wire_iter = iter_binary_wire if fmt == "binary" else iter_k6_wire
     count = 0
-    for _ in wire_iter(path, report):
+    for _ in _WIRE_ITERS[fmt](path, report):
         count += 1
     return count
 
@@ -90,16 +93,8 @@ class TraceRegistry:
     def save(self) -> None:
         """Atomically persist the registry document."""
         doc = {"version": REGISTRY_VERSION, "traces": self.traces}
-        directory = os.path.dirname(self.path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        tmp = self.path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        publish_atomically(self.path, text.encode("utf-8"))
 
     def _resolve_path(self, entry: dict) -> str:
         path = entry["path"]
@@ -186,13 +181,10 @@ class TraceRegistry:
         keys and record-hash keys in disjoint namespaces — job cache
         keys built from it are content-addressed by the trace file.
         """
-        from repro.ingest.binary import ingest_binary
-        from repro.ingest.k6 import ingest_k6
         entry = self.verify(name)
-        path = self._resolve_path(entry)
-        ingest = ingest_binary if entry["format"] == "binary" else ingest_k6
-        trace, report = ingest(path, name=name, policy=STRICT,
-                               max_records=max_records)
+        trace, report = ingest_file(self._resolve_path(entry),
+                                    fmt=entry["format"], name=name,
+                                    max_records=max_records)
         trace.__dict__["_signature"] = f"reg:{entry['signature']}"
         return trace, report
 

@@ -21,7 +21,13 @@ NUL bytes: journalling filesystems that replay a metadata-only commit
 after power loss can leave a pre-allocated tail of ``\\x00`` where the
 flushed data never hit the platter.  Both cases are counted in
 :attr:`CheckpointJournal.skipped_lines` so a resume can report how
-much of the journal was unreadable.
+much of the journal was unreadable.  The first append after such a
+restart starts on a fresh line: fused with the torn fragment, it would
+be skipped, and so lost, on the next load.
+
+These file rules live once, in :class:`JsonLinesJournal`;
+:class:`CheckpointJournal` and the service's lifecycle journal
+(:mod:`repro.service.journal`) add only their status vocabularies.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ FAILED = "failed"
 
 # Open journals, so the CLI can flush every one of them on
 # KeyboardInterrupt regardless of which command object holds them.
-_ACTIVE: "weakref.WeakSet[CheckpointJournal]" = weakref.WeakSet()
+_ACTIVE: "weakref.WeakSet[JsonLinesJournal]" = weakref.WeakSet()
 
 
 def flush_active_journals() -> int:
@@ -50,13 +56,29 @@ def flush_active_journals() -> int:
     return count
 
 
-class CheckpointJournal:
-    """Append-only record of resolved cache keys for one sweep."""
+class JsonLinesJournal:
+    """One append-only JSON-lines journal file: open, load, append, sync.
+
+    The file rules live here; a subclass supplies only its status
+    vocabulary, by folding each loaded or appended entry into
+    :attr:`entries` in :meth:`_apply`.
+
+    * Opening creates the parent directory; any failure to create,
+      read or open raises :class:`~repro.errors.CheckpointError`.
+    * Loading strips NUL runs from both edges of every line and skips
+      torn lines, counting both in :attr:`skipped_lines`.
+    * Appending writes one ``sort_keys`` JSON line and flushes it to
+      the OS; :meth:`flush` and :meth:`close` add the ``fsync``.
+    * A file whose last line is unterminated (a writer killed
+      mid-append) gets a newline before the first append, so the new
+      entry never fuses with the torn fragment.
+    """
 
     def __init__(self, path: str) -> None:
         self.path = path
         self.entries: dict[str, dict] = {}
         self.skipped_lines = 0
+        self._unterminated = False
         directory = os.path.dirname(path)
         if directory:
             try:
@@ -71,19 +93,20 @@ class CheckpointJournal:
             self._fh = open(path, "a", encoding="utf-8")
         except OSError as error:
             raise CheckpointError(
-                f"cannot open checkpoint journal {path!r}: {error}"
+                f"cannot open journal {path!r}: {error}"
             ) from error
         _ACTIVE.add(self)
 
     def _load(self) -> None:
         try:
             with open(self.path, encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
+                text = fh.read()
         except OSError as error:
             raise CheckpointError(
-                f"cannot read checkpoint journal {self.path!r}: {error}"
+                f"cannot read journal {self.path!r}: {error}"
             ) from error
-        for raw in lines:
+        self._unterminated = bool(text) and not text.endswith("\n")
+        for raw in text.splitlines():
             # NUL runs come from crash-replayed filesystem pre-allocation
             # (see module docstring); strip them from both edges so an
             # entry that survived next to a padded tail still loads.
@@ -94,20 +117,53 @@ class CheckpointJournal:
                 continue
             try:
                 entry = json.loads(line)
-                key = entry["key"]
-                status = entry["status"]
+                entry["key"], entry["status"]  # both must be present
             except (ValueError, TypeError, KeyError):
                 # A writer killed mid-append leaves a torn final line;
                 # everything before it is still a valid checkpoint.
                 self.skipped_lines += 1
                 continue
-            if status in (DONE, FAILED):
-                self.entries[key] = entry
+            self._apply(entry)
+
+    def _apply(self, entry: dict) -> None:
+        """Fold one well-formed entry into :attr:`entries`."""
+        raise NotImplementedError
 
     def _write(self, entry: dict) -> None:
-        self.entries[entry["key"]] = entry
-        self._fh.write(json.dumps(entry, sort_keys=True) + "\n")
+        self._apply(entry)
+        line = json.dumps(entry, sort_keys=True) + "\n"
+        if self._unterminated:
+            line = "\n" + line
+            self._unterminated = False
+        self._fh.write(line)
         self._fh.flush()
+
+    def flush(self) -> None:
+        """Flush and fsync buffered lines to disk."""
+        if not self._fh.closed:
+            self._fh.flush()
+            os.fsync(self._fh.fileno())
+
+    def close(self) -> None:
+        """Flush and close the journal file."""
+        if not self._fh.closed:
+            self.flush()
+            self._fh.close()
+        _ACTIVE.discard(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+class CheckpointJournal(JsonLinesJournal):
+    """Append-only record of resolved cache keys for one sweep."""
+
+    def _apply(self, entry: dict) -> None:
+        if entry["status"] in (DONE, FAILED):
+            self.entries[entry["key"]] = entry
 
     def record_done(self, key: str, **extra) -> None:
         """Mark a key as resolved and published to the cache.
@@ -152,20 +208,3 @@ class CheckpointJournal:
     def failed_keys(self) -> set[str]:
         return {key for key, entry in self.entries.items()
                 if entry.get("status") == FAILED}
-
-    def flush(self) -> None:
-        if not self._fh.closed:
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-
-    def close(self) -> None:
-        if not self._fh.closed:
-            self.flush()
-            self._fh.close()
-        _ACTIVE.discard(self)
-
-    def __enter__(self) -> "CheckpointJournal":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

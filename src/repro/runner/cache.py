@@ -34,6 +34,32 @@ _MAGIC = b"RPRC1\n"
 _DIGEST_SIZE = 16
 
 
+def publish_atomically(path: str, blob: bytes) -> None:
+    """Replace ``path`` with ``blob`` so readers never see a torn file.
+
+    The bytes go to a dot-prefixed :func:`tempfile.mkstemp` file in
+    ``path``'s own directory (created if missing), are fsynced, then
+    published with :func:`os.replace`.  On failure the temporary is
+    removed and the error re-raised, so nothing is left behind.
+    """
+    directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-",
+                               suffix=os.path.splitext(path)[1])
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except OSError:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+        raise
+
+
 def default_cache_dir() -> str:
     """Cache location: ``$REPRO_CACHE_DIR`` or ``~/.cache/repro-sim``."""
     env = os.environ.get("REPRO_CACHE_DIR")
@@ -127,25 +153,9 @@ class ResultCache:
 
     def put(self, key: str, payload: object) -> None:
         """Store a payload atomically under its key."""
-        entry = self._entry_path(key)
-        os.makedirs(os.path.dirname(entry), exist_ok=True)
         body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        blob = _MAGIC + _digest(body) + body
-        fd, tmp = tempfile.mkstemp(
-            dir=os.path.dirname(entry), prefix=".tmp-", suffix=".pkl"
-        )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(blob)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, entry)
-        except OSError:
-            try:
-                os.remove(tmp)
-            except OSError:
-                pass
-            raise
+        publish_atomically(self._entry_path(key),
+                           _MAGIC + _digest(body) + body)
         self.stores += 1
 
     def __len__(self) -> int:

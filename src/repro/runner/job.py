@@ -18,19 +18,23 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import struct
 from dataclasses import dataclass
 
 from repro.config_io import system_to_dict
 from repro.errors import ReproError
 from repro.params import SystemParams
 from repro.sim.batched import validate_engine
-from repro.sim.trace import _RECORD, Trace
+from repro.sim.trace import Trace
 
 # Kinds of work a job can describe.
 KIND_LEVELS = "levels"  # single-core (trace x registered config) cell
 KIND_ALONE_IPC = "alone-ipc"  # one core alone on the shared multicore system
 KIND_TRACE = "trace"  # a levels cell run with telemetry event recording
 KIND_MIX = "mix"  # an N-core mix of traces under one registered config
+
+# Signature encoding of one canonical record: kind, ip, addr, dep.
+_SIGNATURE_RECORD = struct.Struct("<BQQB")
 
 _salt_cache: str | None = None
 
@@ -78,7 +82,7 @@ def trace_signature(trace: Trace) -> str:
         return cached
     digest = hashlib.blake2b(digest_size=16)
     digest.update(trace.name.encode())
-    pack = _RECORD.pack
+    pack = _SIGNATURE_RECORD.pack
     for kind, ip, addr, dep in trace:
         digest.update(pack(kind, ip, addr, dep))
     signature = digest.hexdigest()

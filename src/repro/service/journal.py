@@ -15,18 +15,19 @@ worker touched it.  One JSON line per lifecycle event::
 ``submitted`` carries the full wire spec, so a restarted service can
 re-enqueue pending work with zero client involvement; ``attached``
 records single-flight dedup attachments so resumed quota accounting
-stays faithful.  Lines are flushed as written (crash-consistent) and a
-torn trailing line from a killed writer is skipped on load, exactly
-like the checkpoint journal.  A key may cycle: a terminal line followed
-by a fresh ``submitted`` line re-opens it (failed-job resubmission).
+stays faithful.  A key may cycle: a terminal line followed by a fresh
+``submitted`` line re-opens it (failed-job resubmission).
+
+The file itself is a :class:`~repro.resilience.journal.JsonLinesJournal`:
+lines are flushed as written (crash-consistent), NUL padding and a torn
+trailing line from a killed writer are skipped on load, and the first
+append after a restart starts on a fresh line — the same rules as the
+checkpoint journal, from the same code.
 """
 
 from __future__ import annotations
 
-import json
-import os
-
-from repro.errors import CheckpointError
+from repro.resilience.journal import JsonLinesJournal
 
 SUBMITTED = "submitted"
 ATTACHED = "attached"
@@ -37,53 +38,15 @@ CANCELLED = "cancelled"
 _TERMINAL = (DONE, FAILED, CANCELLED)
 
 
-class ServiceJournal:
-    """Append-only JSONL record of every job lifecycle transition."""
+class ServiceJournal(JsonLinesJournal):
+    """Append-only JSONL record of every job lifecycle transition.
 
-    def __init__(self, path: str) -> None:
-        self.path = path
-        # key -> {"spec": wire, "tenants": [..], "terminal": status|None}
-        self.entries: dict[str, dict] = {}
-        directory = os.path.dirname(path)
-        if directory:
-            try:
-                os.makedirs(directory, exist_ok=True)
-            except (FileExistsError, NotADirectoryError) as error:
-                raise CheckpointError(
-                    f"journal directory {directory!r} is not writable"
-                ) from error
-        if os.path.exists(path):
-            self._load()
-        try:
-            self._fh = open(path, "a", encoding="utf-8")
-        except OSError as error:
-            raise CheckpointError(
-                f"cannot open service journal {path!r}: {error}"
-            ) from error
+    :attr:`entries` maps each key to ``{"spec": wire, "tenants": [..],
+    "terminal": status | None}``.
+    """
 
-    def _load(self) -> None:
-        try:
-            with open(self.path, encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
-        except OSError as error:
-            raise CheckpointError(
-                f"cannot read service journal {self.path!r}: {error}"
-            ) from error
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-                status = event["status"]
-                key = event["key"]
-            except (ValueError, TypeError, KeyError):
-                # Torn trailing line from a killed writer: everything
-                # before it is still a valid checkpoint.
-                continue
-            self._apply(status, key, event)
-
-    def _apply(self, status: str, key: str, event: dict) -> None:
+    def _apply(self, event: dict) -> None:
+        status, key = event["status"], event["key"]
         if status == SUBMITTED:
             entry = self.entries.get(key)
             if entry is None or entry["terminal"] is not None:
@@ -99,11 +62,6 @@ class ServiceJournal:
             entry = self.entries.get(key)
             if entry is not None:
                 entry["terminal"] = status
-
-    def _write(self, event: dict) -> None:
-        self._apply(event["status"], event["key"], event)
-        self._fh.write(json.dumps(event, sort_keys=True) + "\n")
-        self._fh.flush()
 
     def record_submitted(self, key: str, spec_wire: dict,
                          tenant: str) -> None:
@@ -144,21 +102,3 @@ class ServiceJournal:
         """Keys whose jobs completed (payload expected in the cache)."""
         return {key for key, entry in self.entries.items()
                 if entry["terminal"] == DONE}
-
-    def flush(self) -> None:
-        """Flush and fsync buffered lines to disk."""
-        if not self._fh.closed:
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-
-    def close(self) -> None:
-        """Flush and close the journal file."""
-        if not self._fh.closed:
-            self.flush()
-            self._fh.close()
-
-    def __enter__(self) -> "ServiceJournal":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -18,8 +18,6 @@ from repro.sim.trace import (
     STORE,
     Trace,
     TraceRecord,
-    load_trace,
-    save_trace,
 )
 
 __all__ = [
@@ -36,8 +34,6 @@ __all__ = [
     "Trace",
     "TraceRecord",
     "get_last_run_info",
-    "load_trace",
-    "save_trace",
     "simulate",
     "simulate_batched",
     "simulate_ideal",

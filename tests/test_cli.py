@@ -95,6 +95,38 @@ class TestTraceFileCommands:
                      "--prefetcher", "ipcp"]) == 0
         assert "speedup" in capsys.readouterr().out
 
+    def test_dumped_trace_registers_and_verifies(self, tmp_path, capsys):
+        out = str(tmp_path / "w.rib")
+        registry = str(tmp_path / "traces.json")
+        assert main(["dump-trace", "--workload", "bwaves_like",
+                     "--out", out, "--scale", "0.05"]) == 0
+        assert main(["ingest", "register", "--file", out,
+                     "--registry", registry, "--name", "w"]) == 0
+        assert main(["ingest", "verify", "--registry", registry]) == 0
+        with open(registry) as fh:
+            assert json.load(fh)["traces"]["w"]["format"] == "binary"
+
+    def test_run_trace_reads_k6(self, tmp_path, capsys):
+        from repro.ingest import write_k6
+
+        out = str(tmp_path / "w.k6.gz")
+        write_k6(build_trace("bwaves_like", 0.05), out)
+        assert main(["run-trace", "--trace-file", out,
+                     "--prefetcher", "ipcp"]) == 0
+        assert "speedup" in capsys.readouterr().out
+
+    def test_run_trace_truncated_dump_exits_15(self, tmp_path, capsys):
+        out = str(tmp_path / "w.rib")
+        assert main(["dump-trace", "--workload", "bwaves_like",
+                     "--out", out, "--scale", "0.05"]) == 0
+        with open(out, "rb") as fh:
+            blob = fh.read()
+        with open(out, "wb") as fh:
+            fh.write(blob[:len(blob) // 2])
+        capsys.readouterr()
+        assert main(["run-trace", "--trace-file", out]) == 15
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_validate_clean_prefetcher(self, capsys):
         code = main(["validate", "--prefetcher", "ipcp", "--scale", "0.1"])
         assert code == 0
@@ -231,7 +263,10 @@ class TestRunnerOptions:
 
 
 class TestVerifyCommand:
-    GOLDEN_ONLY = ["verify", "--skip-oracle", "--skip-invariants"]
+    # Every phase test but test_cross_engine_phase_passes skips the
+    # cross-engine phase, so the full scalar-vs-batched grid runs once.
+    GOLDEN_ONLY = ["verify", "--skip-oracle", "--skip-invariants",
+                   "--skip-cross-engine"]
     TINY = ["--workloads", "bwaves_like", "--prefetchers", "none,ipcp",
             "--scale", "0.1"]
 
@@ -241,17 +276,32 @@ class TestVerifyCommand:
             "--cache-dir", str(tmp_path / "cache")])
 
     def test_oracle_phase_passes(self, capsys):
-        code = main(["verify", "--skip-golden", "--skip-invariants"])
+        code = main(["verify", "--skip-golden", "--skip-invariants",
+                     "--skip-cross-engine"])
         assert code == 0
         out = capsys.readouterr().out
         assert "lockstep" in out and "OK" in out
 
     def test_invariant_phase_passes(self, capsys):
         code = main(["verify", "--skip-golden", "--skip-oracle",
-                     "--invariant-scale", "0.02"])
+                     "--skip-cross-engine", "--invariant-scale", "0.02"])
         assert code == 0
         out = capsys.readouterr().out
         assert "invariants" in out and "OK" in out
+
+    def test_cross_engine_phase_passes(self, capsys):
+        import re
+
+        code = main(["verify", "--skip-golden", "--skip-oracle",
+                     "--skip-invariants"])
+        assert code == 0
+        summary = re.search(r"cross-engine: (\d+) cells, (\d+) fused, "
+                            r"\d+ fallback, (\d+) mismatches",
+                            capsys.readouterr().out)
+        assert summary is not None
+        cells, fused, mismatches = map(int, summary.groups())
+        assert mismatches == 0
+        assert 1 <= fused <= cells
 
     def test_golden_update_then_verify_roundtrip(self, tmp_path, capsys):
         baseline = str(tmp_path / "golden.json")

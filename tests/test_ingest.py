@@ -453,6 +453,14 @@ class TestRegistry:
         assert reloaded.resolve("mem") == registry.resolve("mem")
         assert reloaded.verify_all() == {"mem": "ok"}
 
+    def test_failed_save_leaves_no_temp_file(self, tmp_path):
+        registry, _ = self._registry(tmp_path)
+        os.remove(registry.path)
+        os.mkdir(registry.path)  # the publishing rename now fails
+        with pytest.raises(OSError):
+            registry.save()
+        assert sorted(os.listdir(tmp_path)) == ["t.k6", "traces.json"]
+
     def test_malformed_trace_cannot_be_registered(self, tmp_path):
         registry = TraceRegistry(str(tmp_path / "traces.json"))
         with pytest.raises(TraceFormatError):

@@ -421,6 +421,22 @@ class TestCheckpointJournal:
         assert failure.attempts == 3
         journal.close()
 
+    def test_append_after_torn_tail_survives_reload(self, tmp_path):
+        # The restarted writer's first line must not fuse with the torn
+        # fragment, or the next load drops it along with the fragment.
+        journal_path = str(tmp_path / "sweep.journal")
+        with CheckpointJournal(journal_path) as journal:
+            journal.record_done("aaaa")
+        with open(journal_path, "a", encoding="utf-8") as fh:
+            fh.write('{"key": "cccc", "sta')  # writer SIGKILLed mid-append
+        with CheckpointJournal(journal_path) as journal:
+            journal.record_done("bbbb")
+
+        journal = CheckpointJournal(journal_path)
+        assert journal.done_keys == {"aaaa", "bbbb"}
+        assert journal.skipped_lines == 1
+        journal.close()
+
     def test_nul_padded_tail_is_skipped_and_counted(self, tmp_path):
         # A journalling filesystem replaying a metadata-only commit
         # after power loss can leave a pre-allocated run of NUL bytes

@@ -223,6 +223,32 @@ class TestServiceJournal:
         assert [key for key, _, _ in reloaded.pending()] == ["k1"]
         reloaded.close()
 
+    def test_submit_after_torn_tail_survives_restart(self, tmp_path):
+        # A job accepted after a crash restart must still be pending at
+        # the following restart: drain/resume loses no job.
+        path = str(tmp_path / "svc.jsonl")
+        with ServiceJournal(path) as journal:
+            journal.record_submitted("k1", {"kind": "levels"}, "t")
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"status": "done", "key": "k1"')  # torn write
+        with ServiceJournal(path) as journal:
+            journal.record_submitted("k2", {"kind": "levels"}, "t")
+        reloaded = ServiceJournal(path)
+        assert [key for key, _, _ in reloaded.pending()] == ["k1", "k2"]
+        assert reloaded.skipped_lines == 1
+        reloaded.close()
+
+    def test_entry_padded_with_nuls_still_loads(self, tmp_path):
+        # NUL runs around an intact entry must not hide it.
+        path = str(tmp_path / "svc.jsonl")
+        with open(path, "wb") as fh:
+            fh.write(b'\x00\x00{"key": "k1", "spec": {"kind": "levels"}, '
+                     b'"status": "submitted", "tenant": "t"}\x00\x00\n')
+        reloaded = ServiceJournal(path)
+        assert [key for key, _, _ in reloaded.pending()] == ["k1"]
+        assert reloaded.skipped_lines == 0
+        reloaded.close()
+
     def test_terminal_then_submitted_reopens_key(self, tmp_path):
         path = str(tmp_path / "svc.jsonl")
         with ServiceJournal(path) as journal:
